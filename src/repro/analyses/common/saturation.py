@@ -18,17 +18,30 @@ consistency checking, race prediction, and the memory-bug analyses (see the
 citations in Section 1.1 of the paper).  Because the inserted orderings land
 between arbitrary events of the trace, this is the archetypal *non-streaming*
 workload CSSTs were designed for.
+
+The rules are not applied competitor by competitor.  Writes on one chain are
+totally ordered, so per chain ``c`` only two competitors matter: the latest
+write of ``c`` at or before ``predecessor(r, c)`` (every earlier write of
+``c`` then precedes the writer by program order) and the earliest write of
+``c`` at or after ``successor(rf(r), c)`` (every later write of ``c`` then
+follows the read).  A :class:`WriteIndex` holds each variable's write
+indexes per chain, sorted, so both are one bisection.  A read costs
+O(k) partial-order queries plus O(k log n) bisection steps, independent of
+how many writes its variable has; the fixed point, and with it every later
+reachability answer, is the same as applying the rules to every competitor.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.interface import PartialOrder
 from repro.errors import AnalysisError
 from repro.trace.event import Event
-from repro.analyses.common.hb import insert_ordering
+
+#: One chain's writes of a variable: ``(chain, sorted indexes, events)``.
+ChainWrites = Tuple[int, List[int], List[Event]]
 
 
 class CycleDetected(AnalysisError):
@@ -44,6 +57,31 @@ class CycleDetected(AnalysisError):
         self.target = target
 
 
+class WriteIndex:
+    """Each variable's writes, split by chain and sorted by index.
+
+    Built once per run from ``writes_by_variable``; :meth:`chains` returns
+    the per-chain lists the saturation rules and witness checks bisect.
+    """
+
+    def __init__(self, writes_by_variable: Mapping[object, List[Event]]) -> None:
+        self._chains: Dict[object, List[ChainWrites]] = {}
+        for variable, writes in writes_by_variable.items():
+            per_chain: Dict[int, List[Event]] = {}
+            for write in writes:
+                if write.is_write:
+                    per_chain.setdefault(write.thread, []).append(write)
+            entries: List[ChainWrites] = []
+            for chain in sorted(per_chain):
+                events = sorted(per_chain[chain], key=lambda event: event.index)
+                entries.append((chain, [event.index for event in events], events))
+            self._chains[variable] = entries
+
+    def chains(self, variable) -> List[ChainWrites]:
+        """``(chain, indexes, events)`` for every chain writing ``variable``."""
+        return self._chains.get(variable, [])
+
+
 class SaturationEngine:
     """Applies the reads-from saturation rules over a partial order.
 
@@ -52,58 +90,33 @@ class SaturationEngine:
     order:
         The partial-order backend holding ``P``.
     writes_by_variable:
-        All write events, grouped by variable; used to locate competing
-        writes for each saturated read.
-    track_insertions:
-        When ``True``, every edge inserted by the engine is recorded so a
-        caller can undo it later (only meaningful for fully dynamic
-        backends; used by the search-style analyses that explore reads-from
-        choices and backtrack).
+        All write events, grouped by variable; indexed once into
+        :attr:`write_index` to locate competing writes for each read.
     """
 
     def __init__(self, order: PartialOrder,
-                 writes_by_variable: Mapping[object, List[Event]],
-                 track_insertions: bool = False) -> None:
+                 writes_by_variable: Mapping[object, List[Event]]) -> None:
         self._order = order
-        self._writes_by_variable = writes_by_variable
-        self._track = track_insertions
-        self._inserted: List[Tuple[Event, Event]] = []
+        self.write_index = WriteIndex(writes_by_variable)
 
     # ------------------------------------------------------------------ #
     # Edge insertion with cycle detection
     # ------------------------------------------------------------------ #
     def add_ordering(self, source: Event, target: Event) -> bool:
-        """Insert ``source -> target``; raise :class:`CycleDetected` if the
-        reverse ordering already holds.  Returns ``True`` if a new cross-
-        chain edge was inserted."""
-        if source.node == target.node:
-            return False
+        """Insert ``source -> target`` unless it is already implied; raise
+        :class:`CycleDetected` if the reverse ordering holds instead.
+        Returns ``True`` if a new cross-chain edge was inserted."""
         if source.thread == target.thread:
             if source.index > target.index:
                 raise CycleDetected(source, target)
             return False
-        if self._order.reachable(target.node, source.node):
+        order = self._order
+        if order.reachable(source.node, target.node):
+            return False
+        if order.reachable(target.node, source.node):
             raise CycleDetected(source, target)
-        if insert_ordering(self._order, source.node, target.node):
-            if self._track:
-                self._inserted.append((source, target))
-            return True
-        return False
-
-    def undo(self) -> int:
-        """Delete every tracked edge (most recent first) and return how many
-        were removed.  Requires a backend with deletion support."""
-        removed = 0
-        while self._inserted:
-            source, target = self._inserted.pop()
-            self._order.delete_edge(source.node, target.node)
-            removed += 1
-        return removed
-
-    @property
-    def inserted_edges(self) -> List[Tuple[Event, Event]]:
-        """Edges inserted so far (only populated when tracking is enabled)."""
-        return list(self._inserted)
+        order.insert_edge(source.node, target.node)
+        return True
 
     # ------------------------------------------------------------------ #
     # Saturation
@@ -119,6 +132,10 @@ class SaturationEngine:
         trace order -- the non-streaming insertion pattern the paper's
         motivating example describes.
 
+        A round skips every read that last inserted nothing while the order
+        was as it is now (no insertion since): its rules would find nothing
+        again, so the insertions, and the rounds, are those of full passes.
+
         Returns the number of orderings inserted.  Raises
         :class:`CycleDetected` if the assignment is infeasible.
         """
@@ -127,35 +144,45 @@ class SaturationEngine:
             key=lambda item: (str(item[0].variable), item[0].thread, item[0].index),
         )
         inserted = 0
+        # Per read, the insertion count at which its rules last found
+        # nothing (-1: never, or they inserted).
+        clean_at = [-1] * len(by_location)
         for _ in range(max_rounds):
-            changed = 0
-            for read, write in by_location:
-                changed += self._saturate_read(read, write)
-            inserted += changed
-            if changed == 0:
-                return inserted
+            before = inserted
+            for position, (read, write) in enumerate(by_location):
+                if clean_at[position] == inserted:
+                    continue
+                added = self._saturate_read(read, write)
+                inserted += added
+                clean_at[position] = -1 if added else inserted
+            if inserted == before:
+                break
         return inserted
 
     def _saturate_read(self, read: Event, write: Event) -> int:
-        inserted = 0
-        if self.add_ordering(write, read):
-            inserted += 1
-        for competitor in self._writes_by_variable.get(read.variable, ()):
-            if competitor is write or not competitor.is_write:
-                continue
-            if competitor.node == write.node:
-                continue
-            # Competing write already before the read: force it before the writer.
-            if self._reaches(competitor, read) and not self._reaches(competitor, write):
-                if self.add_ordering(competitor, write):
+        order = self._order
+        add_ordering = self.add_ordering
+        inserted = 1 if add_ordering(write, read) else 0
+        read_node, write_node = read.node, write.node
+        for chain, indexes, events in self.write_index.chains(read.variable):
+            # The latest write of the chain before the read must precede
+            # the writer.
+            if chain == read.thread:
+                latest = read.index
+            else:
+                latest = order.predecessor(read_node, chain)
+            if latest is not None:
+                position = bisect_right(indexes, latest) - 1
+                if position >= 0 and add_ordering(events[position], write):
                     inserted += 1
-            # Writer already before the competing write: force the read before it.
-            if self._reaches(write, competitor) and not self._reaches(read, competitor):
-                if competitor is not write and self.add_ordering(read, competitor):
+            # The earliest write of the chain after the writer must follow
+            # the read.
+            if chain == write.thread:
+                earliest = write.index + 1
+            else:
+                earliest = order.successor(write_node, chain)
+            if earliest is not None:
+                position = bisect_left(indexes, earliest)
+                if position < len(indexes) and add_ordering(read, events[position]):
                     inserted += 1
         return inserted
-
-    def _reaches(self, source: Event, target: Event) -> bool:
-        if source.thread == target.thread:
-            return source.index <= target.index
-        return self._order.reachable(source.node, target.node)

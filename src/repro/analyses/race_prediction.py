@@ -17,12 +17,17 @@ partial-order operations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analyses.common.base import Analysis, AnalysisResult
 from repro.analyses.common.hb import build_sync_order, conflicting_pairs
-from repro.analyses.common.saturation import CycleDetected, SaturationEngine
+from repro.analyses.common.saturation import (
+    CycleDetected,
+    SaturationEngine,
+    WriteIndex,
+)
 from repro.core.instrumented import InstrumentedOrder
 from repro.trace.event import Event
 from repro.trace.trace import Trace
@@ -99,7 +104,7 @@ class RacePredictionAnalysis(Analysis):
         )
         result.details["candidates"] = len(candidates)
         reads_from = trace.reads_from()
-        writes = trace.writes_by_variable()
+        writes = engine.write_index
         locks_held = trace.locks_held_map()
         checked = 0
         for first, second in candidates:
@@ -116,15 +121,22 @@ class RacePredictionAnalysis(Analysis):
     # Witness feasibility
     # ------------------------------------------------------------------ #
     def _witness_feasible(self, trace: Trace, order: InstrumentedOrder,
-                          first: Event, second: Event, reads_from, writes) -> bool:
+                          first: Event, second: Event, reads_from,
+                          writes: WriteIndex) -> bool:
         """Check that a correct reordering witnessing the race can exist.
 
         The witness must execute, for every thread, the prefix of events
         that happen-before either access (its *cone*).  The race is feasible
         when every read inside the cone can still observe its writer: the
         writer is inside the cone as well, and no write that overwrites it
-        is forced between the writer and the read.  Every check is a
-        reachability query against the maintained partial order.
+        is forced between the writer and the read.
+
+        The overwrite check does not scan the variable's writes.  Per chain
+        ``c`` the writes forced between writer and read are exactly those
+        with index in ``[successor(writer, c), predecessor(read, c)]``, so
+        one ``bisect_left`` in the :class:`WriteIndex` finds whether such a
+        write lies inside the cone: O(k) partial-order queries and
+        O(k log n) bisection steps per read, whatever the write count.
 
         The per-thread window scan runs over the trace's columnar view:
         non-read events are skipped on a one-byte flag without touching
@@ -149,17 +161,37 @@ class RacePredictionAnalysis(Analysis):
                     continue
                 if not self._inside_cone(cone, writer):
                     return False
-                for competitor in writes.get(event.variable, ()):
-                    if competitor is writer or not self._inside_cone(cone, competitor):
-                        continue
-                    # A competing write forced between writer and read makes
-                    # the read observe the wrong value in every reordering.
-                    if (
-                        order.reachable(writer.node, competitor.node)
-                        and order.reachable(competitor.node, event.node)
-                    ):
-                        return False
+                # A competing write forced between writer and read makes
+                # the read observe the wrong value in every reordering.
+                if self._overwritten(order, cone, writes, writer, event):
+                    return False
         return True
+
+    @staticmethod
+    def _overwritten(order: InstrumentedOrder, cone: Dict[int, int],
+                     writes: WriteIndex, writer: Event, read: Event) -> bool:
+        """Is some write of the read's variable, other than ``writer``,
+        inside ``cone`` with ``writer ->* w' ->* read``?"""
+        for chain, indexes, _events in writes.chains(read.variable):
+            limit = cone.get(chain, -1)
+            if indexes[0] > limit:
+                continue
+            if chain == writer.thread:
+                start = writer.index + 1
+            else:
+                start = order.successor(writer.node, chain)
+                if start is None:
+                    continue
+            position = bisect_left(indexes, start)
+            if position == len(indexes) or indexes[position] > limit:
+                continue
+            if chain == read.thread:
+                latest = read.index
+            else:
+                latest = order.predecessor(read.node, chain)
+            if latest is not None and indexes[position] <= latest:
+                return True
+        return False
 
     def _cone(self, trace: Trace, order: InstrumentedOrder, first: Event,
               second: Event) -> Dict[int, int]:

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServeError
+from repro.obs import metrics as obs_metrics
 from repro.serve.frontdoor import replay_sources, serve_socket
 from repro.serve.shard import ShardOptions, TenantShard
 from repro.serve.supervisor import Supervisor, TenantFinding
@@ -72,6 +73,9 @@ class _InlineService:
         self._on_notice = on_notice
         self._seq: Dict[str, int] = {}
         self._ended: Dict[str, bool] = {}
+        # Admission counts tenants, as the supervisor does; the shard
+        # (re)creates them and counts nothing.
+        self._registry = obs_metrics.ACTIVE
 
         def emit(tenant: str, item: Any) -> None:
             finding = TenantFinding(tenant=tenant, analysis=item.analysis,
@@ -94,6 +98,8 @@ class _InlineService:
             raise ProtocolError(
                 f"tenant {tenant!r} exceeded its event quota "
                 f"({self.quota_events})")
+        if seq == 0 and self._registry is not None:
+            self._registry.counter("serve_tenants_total").inc()
         seq += 1
         self._seq[tenant] = seq
         self._shard.feed_line(tenant, seq, std_line)

@@ -142,8 +142,6 @@ class TenantShard:
             )
             entry = _Tenant(engine=engine)
         self._tenants[tenant] = entry
-        if self._registry is not None:
-            self._registry.counter("serve_tenants_total").inc()
         return entry
 
     # ------------------------------------------------------------------ #

@@ -125,6 +125,34 @@ class TestCrashRecovery:
         assert "serve_events_total" in names
 
 
+def _tenants_total(**kwargs):
+    """``serve_tenants_total`` and the respawn count of one telemetry-on
+    replay of SOURCES."""
+    from repro.obs import metrics as obs_metrics
+
+    registry = obs_metrics.MetricsRegistry()
+    with obs_metrics.use_registry(registry):
+        with registry.span("serve"):
+            outcome = run_serve(ANALYSES, sources=SOURCES, backend=None,
+                                **kwargs)
+    total = sum(item["value"] for item in registry.snapshot()["counters"]
+                if item["name"] == "serve_tenants_total")
+    return total, outcome.respawns
+
+
+class TestTenantCount:
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_each_tenant_counted_once(self, workers):
+        assert _tenants_total(workers=workers) == (len(SOURCES), 0)
+
+    def test_respawn_does_not_recount_tenants(self, tmp_path):
+        total, respawns = _tenants_total(
+            workers=2, checkpoint_dir=str(tmp_path), checkpoint_every=16,
+            crash_worker="0@40")
+        assert respawns >= 1, "fault injection never fired"
+        assert total == len(SOURCES)
+
+
 class TestQuotas:
     def test_quota_rejects_excess_events(self):
         with pytest.raises(ProtocolError, match="quota"):
